@@ -104,8 +104,7 @@ BENCHMARKS: List[Benchmark] = [
               _bench_modelcheck_slice,
               meta_fn=lambda r: {"unique_states": r.unique_states,
                                  "terminal_states": r.terminal_states,
-                                 "executions": r.executions,
-                                 "states_per_sec": r.states_per_sec}),
+                                 "executions": r.executions}),
     Benchmark("macro.modelcheck_por", "macro",
               "model-checker slice under persistent-set partial-order "
               "reduction (disjoint/tus, 3 cores)",
@@ -113,6 +112,5 @@ BENCHMARKS: List[Benchmark] = [
               meta_fn=lambda r: {"unique_states": r.unique_states,
                                  "terminal_states": r.terminal_states,
                                  "executions": r.executions,
-                                 "states_per_sec": r.states_per_sec,
                                  "por": r.por}),
 ]

@@ -443,8 +443,7 @@ def _cmd_serve(args) -> int:
                            lease_seconds=args.lease,
                            poll_interval=args.poll_interval,
                            monitor_interval=args.monitor_interval,
-                           fsync=args.fsync,
-                           tmp_sweep_age=args.tmp_sweep_age)
+                           fsync=args.fsync)
     service = Service(config)
     url = service.start()
     print(f"repro service listening on {url}")
@@ -836,10 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "directory) before the rename publishes "
                               "it; survives power loss, costs "
                               "throughput")
-    serve_p.add_argument("--tmp-sweep-age", type=float, default=60.0,
-                         metavar="SECONDS",
-                         help="age before an orphaned .tmp file is "
-                              "reclaimed when a store opens")
     serve_p.add_argument("--poll-interval", type=float, default=0.05,
                          metavar="SECONDS",
                          help="worker queue poll interval")

@@ -111,7 +111,7 @@ def _crash_mid_claim(seed: int, workdir: Path) -> ChaosResult:
         ops=("crash-after-rename",), sites=("job-record",),
         site_budget=1))
     worker = _worker(service, "chaos-w1")
-    worker.jobs.fs = shim
+    worker.jobs.records.fs = shim
     crashed = False
     try:
         worker.run(max_jobs=1)
@@ -214,7 +214,7 @@ def _enospc_artifact(seed: int, workdir: Path) -> ChaosResult:
     shim = FaultyFS(seed, FSFaultConfig(
         ops=("enospc",), sites=("artifact",), site_budget=1))
     worker = _worker(service)
-    worker.store.fs = shim
+    worker.store.artifacts.fs = shim
     entry = worker.queue.claim()
     worker.run_one(entry)     # executes, then ENOSPC on the put
     mid = service.job(record.id)

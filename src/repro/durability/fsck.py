@@ -1,8 +1,15 @@
 """``repro fsck``: scan and repair the repo's durable directories.
 
-The scanner is layout-aware: pointed at a service data dir, a
-``--spool`` frontier, or a bare point-cache/record directory, it walks
-the layout it recognises and classifies what it finds:
+Every durable store is built from the two primitives of :mod:`.spool`
+— :class:`~.spool.RecordDir` and :class:`~.spool.Spool` — and declares
+its directory tree as data, a :class:`Layout`: which RecordDirs and
+which Spool it has (relative to its root), the schema tag of each, how
+a corrupt record can be rebuilt from its name, which claimed entries
+are already finished, and any cross-store rule (the service's
+queue/job-record audit).  fsck is one scanner over that data.  Pointed
+at a directory, it recognises a service data dir, a ``--spool``
+frontier, or a bare point-cache/record directory, walks the declared
+layout, and classifies what it finds:
 
 =====================  =================================================
 finding kind           meaning / repair
@@ -10,23 +17,27 @@ finding kind           meaning / repair
 ``tmp-orphan``         a ``*.tmp<pid>`` file older than the age gate —
                        a crash between write and rename; removed
 ``corrupt``            a record that fails envelope validation (parse,
-                       checksum, or schema); quarantined — except queue
-                       entries, whose payload is a pure function of the
-                       filename and is rebuilt in place
-``dangling-running``   a claimed entry with no live claimant (stopped
-                       service / killed checker); renamed back to
-                       pending so the work reruns
-``orphan-entry``       a queue entry whose job record is gone — nothing
-                       says what to execute; removed
+                       checksum, or schema); quarantined — except where
+                       the layout rebuilds it from its name (queue
+                       entries) or drops it as ephemeral (heartbeats)
+``dangling-running``   a claimed spool entry with no live claimant
+                       (stopped service / killed checker); renamed back
+                       to pending so the work reruns, or removed when
+                       the layout says its work is finished
+``orphan-entry``       a pending queue entry whose job record is gone —
+                       nothing says what to execute; removed
 ``lost-entry``         an active job record with no queue entry (the
                        inverse crash window); a fresh entry is enqueued
 ``quarantined``        informational: evidence already moved aside by a
                        previous reader or fsck run
 =====================  =================================================
 
-Repairs are only applied with ``repair=True`` and only when they are
-safe offline; run repair against a *stopped* service or checker (a
-live monitor performs the running-entry repairs itself).
+A scan without ``repair`` is read-only: it opens no store (opening one
+sweeps tmp files) and reads records without quarantining them.
+Repairs are only applied with ``repair=True``, use ``tmp_age`` as the
+only tmp-file age gate, and are only safe offline; run repair against
+a *stopped* service or checker (a live monitor performs the
+running-entry repairs itself).
 """
 
 from __future__ import annotations
@@ -35,10 +46,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .records import (QUARANTINE_DIR, CorruptRecord, quarantine,
-                      read_record, write_record)
+                      quarantine_count, read_record, write_record)
+from .spool import record_names
 
 #: Finding kinds that leave data at risk (non-informational).
 PROBLEM_KINDS = ("tmp-orphan", "corrupt", "dangling-running",
@@ -71,9 +83,18 @@ class FsckReport:
     findings: List[Finding] = field(default_factory=list)
 
     def add(self, kind: str, path: Path, detail: str,
-            repaired: bool = False, action: str = "") -> Finding:
-        finding = Finding(kind, str(path), detail, repaired, action)
+            fix: Optional[Callable[[], Optional[str]]] = None,
+            action: str = "") -> Finding:
+        """Record a finding; in a repair run, also apply ``fix``, which
+        returns the action it took (default ``action``)."""
+        finding = Finding(kind, str(path), detail)
         self.findings.append(finding)
+        if fix is not None and self.repair:
+            try:
+                finding.action = fix() or action
+                finding.repaired = True
+            except OSError as exc:
+                finding.action = f"failed: {exc}"
         return finding
 
     @property
@@ -121,14 +142,51 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def detect_layout(root: Path) -> str:
-    """``service``, ``frontier``, or ``records`` (a flat record dir)."""
+@dataclass(frozen=True)
+class Records:
+    """One RecordDir of a layout (or, as :attr:`Layout.spool`, the
+    root of a Spool's ``pending/`` + ``running/`` pair)."""
+
+    rel: str = ""
+    schema: Optional[str] = None
+    #: Corrupt record name -> replacement body (None: not rebuildable).
+    rebuild: Optional[Callable[[str], Optional[dict]]] = None
+    #: Corrupt records are deleted rather than kept as evidence.
+    ephemeral: bool = False
+
+
+@dataclass(frozen=True)
+class Layout:
+    """A store's directory tree, declared as data for the scanner."""
+
+    name: str
+    dirs: Tuple[Records, ...] = ()
+    spool: Optional[Records] = None
+    #: Root -> names of running spool entries whose work is finished
+    #: (a repair drops those instead of requeueing them).
+    finished: Optional[Callable[[Path], Set[str]]] = None
+    #: Cross-store rules, run after the record scan.
+    audit: Optional[Callable[[Path, FsckReport], None]] = None
+    #: Shared quarantine root (relative); None: each directory's own.
+    quarantine: Optional[str] = None
+    #: Subdirectory whose children are scanned as their own layouts.
+    nested: str = ""
+
+
+#: A bare directory of records (the point cache, say).
+RECORDS = Layout("records", dirs=(Records(),))
+
+
+def detect_layout(root: Path) -> Layout:
+    """The service, frontier, or flat-records layout ``root`` has."""
     root = Path(root)
     if (root / "queue").is_dir() and (root / "jobs").is_dir():
-        return "service"
+        from ..service.queue import SERVICE_LAYOUT
+        return SERVICE_LAYOUT
     if (root / "meta.json").exists() or (root / "visited").is_dir():
-        return "frontier"
-    return "records"
+        from ..modelcheck.frontier import FRONTIER_LAYOUT
+        return FRONTIER_LAYOUT
+    return RECORDS
 
 
 def fsck(root: Path, repair: bool = False,
@@ -136,277 +194,102 @@ def fsck(root: Path, repair: bool = False,
     """Scan ``root`` (see module docstring); repairs only if asked."""
     root = Path(root)
     layout = detect_layout(root)
-    report = FsckReport(str(root), layout, repair)
+    report = FsckReport(str(root), layout.name, repair)
     if not root.is_dir():
         report.add("corrupt", root, "not a directory")
         return report
-    if layout == "service":
-        _fsck_service(root, report, repair, tmp_age)
-    elif layout == "frontier":
-        _fsck_frontier(root, report, repair, tmp_age)
-    else:
-        _scan_records(root, report, repair, tmp_age)
+    _scan(root, layout, report, tmp_age)
     return report
 
 
-# ----------------------------------------------------------------------
-# Shared scans
-# ----------------------------------------------------------------------
+def _scan(root: Path, layout: Layout, report: FsckReport,
+          tmp_age: float) -> None:
+    shared = root / layout.quarantine \
+        if layout.quarantine is not None else None
+    qroots = set()
 
-def _scan_tmp(directory: Path, report: FsckReport, repair: bool,
-              tmp_age: float) -> None:
+    def scan(directory: Path, decl: Records) -> List[Path]:
+        qroot = shared or directory
+        count = quarantine_count(qroot) if qroot not in qroots else 0
+        qroots.add(qroot)
+        if count:
+            report.add("quarantined", qroot / QUARANTINE_DIR,
+                       f"{count} previously quarantined record(s)")
+        return _scan_dir(directory, decl, qroot, report, tmp_age)
+
+    for decl in layout.dirs:
+        scan(root / decl.rel, decl)
+    if layout.spool is not None:
+        pending = root / layout.spool.rel / "pending"
+        scan(pending, layout.spool)
+        running = scan(pending.with_name("running"), layout.spool)
+        finished = layout.finished(root) if running and layout.finished \
+            else set()
+
+        def settle(path: Path) -> str:
+            if path.name in finished:
+                path.unlink()
+                return "removed (work finished)"
+            os.rename(path, pending / path.name)
+            return "requeued"
+
+        for path in running:
+            report.add("dangling-running", path,
+                       "claimed entry, never acked",
+                       fix=lambda path=path: settle(path))
+    if layout.audit is not None:
+        layout.audit(root, report)
+    nested = root / layout.nested if layout.nested else None
+    if nested is not None and nested.is_dir():
+        for sub in sorted(nested.iterdir()):
+            inner = detect_layout(sub)
+            if sub.is_dir() and inner is not RECORDS:
+                _scan(sub, inner, report, tmp_age)
+
+
+def _scan_dir(directory: Path, decl: Records, qroot: Path,
+              report: FsckReport, tmp_age: float) -> List[Path]:
+    """Scan one RecordDir: tmp orphans, then every record.  Returns the
+    records that are usable — valid, or rebuildable from their name."""
     if not directory.is_dir():
-        return
+        return []
     now = time.time()
     for path in sorted(directory.glob("*.tmp*")):
         try:
             age = now - path.stat().st_mtime
         except OSError:
             continue
-        if age < tmp_age:
+        if age >= tmp_age:
+            report.add("tmp-orphan", path,
+                       f"orphaned tmp file ({age:.0f}s old)",
+                       fix=path.unlink, action="removed")
+    usable = []
+    for name in record_names(directory):
+        path = directory / name
+        try:
+            read_record(path, decl.schema)
+            usable.append(path)
             continue
-        finding = report.add("tmp-orphan", path,
-                             f"orphaned tmp file ({age:.0f}s old)")
-        if repair:
-            try:
+        except CorruptRecord as exc:
+            reason = exc.reason
+        body = decl.rebuild(name) if decl.rebuild else None
+        if body is not None:
+            usable.append(path)
+
+        def fix(path: Path = path, body: Optional[dict] = body) -> str:
+            if body is not None:
+                quarantine(path, root=qroot, reason="rebuilt")
+                write_record(path, decl.schema, body)
+                return "rebuilt from filename"
+            if decl.ephemeral:
                 path.unlink()
-                finding.repaired = True
-                finding.action = "removed"
-            except OSError as exc:
-                finding.action = f"unlink failed: {exc}"
+                return "removed"
+            dest = quarantine(path, root=qroot, reason="fsck")
+            return f"quarantined -> {dest}"
+
+        report.add("corrupt", path, reason, fix=fix)
+    return usable
 
 
-def _scan_quarantine(directory: Path, report: FsckReport) -> None:
-    qdir = directory / QUARANTINE_DIR
-    if not qdir.is_dir():
-        return
-    count = sum(1 for p in qdir.iterdir() if p.is_file())
-    if count:
-        report.add("quarantined", qdir,
-                   f"{count} previously quarantined record(s)")
-
-
-def _check_record(path: Path, report: FsckReport, repair: bool,
-                  schema: Optional[str] = None,
-                  rebuild: Optional[dict] = None) -> bool:
-    """Validate one record file; returns True when it reads clean.
-
-    ``rebuild`` is a replacement payload (queue entries only) written
-    in place on repair; otherwise a corrupt record is quarantined.
-    """
-    try:
-        read_record(path, schema)
-        return True
-    except CorruptRecord as exc:
-        finding = report.add("corrupt", path, exc.reason)
-        if repair:
-            if rebuild is not None:
-                quarantine(path, reason="rebuilt")
-                write_record(path, schema or "generic", rebuild)
-                finding.repaired = True
-                finding.action = "rebuilt from filename"
-            else:
-                dest = quarantine(path, reason="fsck")
-                finding.repaired = True
-                finding.action = f"quarantined -> {dest}"
-        return False
-
-
-def _scan_records(directory: Path, report: FsckReport, repair: bool,
-                  tmp_age: float, schema: Optional[str] = None) -> None:
-    """Generic scan of one flat directory of record files."""
-    if not directory.is_dir():
-        return
-    _scan_tmp(directory, report, repair, tmp_age)
-    _scan_quarantine(directory, report)
-    for path in sorted(directory.glob("*.json")):
-        _check_record(path, report, repair, schema)
-
-
-# ----------------------------------------------------------------------
-# Service layout
-# ----------------------------------------------------------------------
-
-def _entry_rebuild(name: str) -> Optional[dict]:
-    """A queue entry's payload, recomputed from its filename."""
-    from ..service.jobs import PRIORITIES
-    from ..service.queue import Entry
-    try:
-        entry = Entry(name)
-    except (ValueError, IndexError):
-        return None
-    by_num = {num: label for label, num in PRIORITIES.items()}
-    priority = by_num.get(entry.priority, "normal")
-    return {"job": entry.job, "priority": priority}
-
-
-def _fsck_service(root: Path, report: FsckReport, repair: bool,
-                  tmp_age: float) -> None:
-    from ..service.jobs import JobStore
-    pending = root / "queue" / "pending"
-    running = root / "queue" / "running"
-    jobs_dir = root / "jobs"
-    store_dir = root / "store"
-
-    # Job records first: entry repairs below consult them.
-    _scan_tmp(jobs_dir, report, repair, tmp_age)
-    _scan_quarantine(jobs_dir, report)
-    for path in sorted(jobs_dir.glob("*.json")):
-        _check_record(path, report, repair, "job-record")
-
-    jobs = JobStore(jobs_dir) if jobs_dir.is_dir() else None
-
-    def record_of(entry_name: str):
-        if jobs is None:
-            return None
-        stem = entry_name[:-5] if entry_name.endswith(".json") else entry_name
-        job = stem.split("-", 2)[-1]
-        return jobs.load(job)
-
-    # Queue entries: validate (rebuildable), then cross-check records.
-    for directory in (pending, running):
-        _scan_tmp(directory, report, repair, tmp_age)
-        _scan_quarantine(directory, report)
-        for path in sorted(directory.glob("*.json")):
-            _check_record(path, report, repair, "queue-entry",
-                          rebuild=_entry_rebuild(path.name))
-            record = record_of(path.name)
-            if record is None:
-                finding = report.add(
-                    "orphan-entry", path,
-                    "queue entry with no job record")
-                if repair:
-                    try:
-                        path.unlink()
-                        finding.repaired = True
-                        finding.action = "removed"
-                    except OSError:
-                        pass
-            elif directory is running:
-                finding = report.add(
-                    "dangling-running", path,
-                    f"claimed entry for job {record.id} "
-                    f"(status {record.status})")
-                if repair:
-                    try:
-                        if record.active:
-                            os.rename(path, pending / path.name)
-                            finding.action = "requeued"
-                        else:
-                            path.unlink()
-                            finding.action = "removed (job terminal)"
-                        finding.repaired = True
-                    except OSError:
-                        pass
-
-    # The inverse crash window: an active record with no queue entry.
-    if jobs is not None:
-        entries = {p.name.split("-", 2)[-1][:-5]
-                   for d in (pending, running) if d.is_dir()
-                   for p in d.glob("*.json")}
-        for record in jobs.all():
-            if not record.active or record.id in entries:
-                continue
-            finding = report.add(
-                "lost-entry", jobs.path(record.id),
-                f"{record.status} job {record.id} has no queue entry")
-            if repair:
-                from ..service.queue import DiskQueue
-                queue = DiskQueue(root / "queue", max_backlog=1 << 30)
-                record.status = "queued"
-                record.worker = None
-                record.pid = None
-                jobs.save(record)
-                queue.submit(record.id, record.priority)
-                finding.repaired = True
-                finding.action = "re-enqueued"
-
-    # Artifacts, point cache, heartbeats.
-    _scan_records(store_dir / "artifacts", report, repair, tmp_age,
-                  "artifact")
-    _scan_records(store_dir / "points", report, repair, tmp_age,
-                  "point-cache")
-    workers_dir = root / "workers"
-    if workers_dir.is_dir():
-        _scan_tmp(workers_dir, report, repair, tmp_age)
-        for path in sorted(workers_dir.glob("*.json")):
-            if not _check_record(path, report, False, "heartbeat") \
-                    and repair:
-                # Heartbeats are ephemeral: no point quarantining.
-                try:
-                    path.unlink()
-                    report.findings[-1].repaired = True
-                    report.findings[-1].action = "removed"
-                except OSError:
-                    pass
-
-    # Nested frontier spools under scratch/ (check jobs with --spool).
-    scratch = root / "scratch"
-    if scratch.is_dir():
-        for sub in sorted(scratch.iterdir()):
-            if sub.is_dir() and detect_layout(sub) == "frontier":
-                _fsck_frontier(sub, report, repair, tmp_age)
-
-
-# ----------------------------------------------------------------------
-# Frontier spool layout
-# ----------------------------------------------------------------------
-
-def _fsck_frontier(root: Path, report: FsckReport, repair: bool,
-                   tmp_age: float) -> None:
-    pending = root / "pending"
-    running = root / "running"
-    _scan_records(pending, report, repair, tmp_age, "frontier-record")
-    _scan_tmp(running, report, repair, tmp_age)
-    _scan_quarantine(running, report)
-    if running.is_dir():
-        done = set()
-        for log in root.glob("done-*.log"):
-            try:
-                done.update(line for line
-                            in log.read_text().splitlines() if line)
-            except OSError:
-                pass
-        for path in sorted(running.glob("*.json")):
-            if not _check_record(path, report, repair,
-                                 "frontier-record"):
-                continue
-            finding = report.add("dangling-running", path,
-                                 "claimed frontier record")
-            if repair:
-                try:
-                    if path.stem in done:
-                        path.unlink()
-                        finding.action = "removed (already done)"
-                    else:
-                        os.rename(path, pending / path.name)
-                        finding.action = "requeued"
-                    finding.repaired = True
-                except OSError:
-                    pass
-    visited = root / "visited"
-    if visited.is_dir():
-        _scan_tmp(visited, report, repair, tmp_age)
-        _scan_quarantine(visited, report)
-        for path in sorted(visited.glob("*.json")):
-            schema = "frontier-claim" if path.name.startswith("k-") \
-                else None
-            _check_record(path, report, repair, schema)
-    _scan_records(root / "terminals", report, repair, tmp_age,
-                  "frontier-terminal")
-    _scan_records(root / "prov", report, repair, tmp_age)
-    # Root-level singletons: meta, violation, per-worker stats.
-    _scan_tmp(root, report, repair, tmp_age)
-    _scan_quarantine(root, report)
-    meta = root / "meta.json"
-    if meta.exists():
-        _check_record(meta, report, repair, "frontier-meta")
-    violation = root / "violation.json"
-    if violation.exists():
-        _check_record(violation, report, repair)
-    for path in sorted(root.glob("stats-*.json")):
-        _check_record(path, report, repair, "frontier-stats")
-
-
-__all__ = ["Finding", "FsckReport", "PROBLEM_KINDS", "detect_layout",
-           "fsck"]
+__all__ = ["Finding", "FsckReport", "Layout", "PROBLEM_KINDS", "RECORDS",
+           "Records", "detect_layout", "fsck"]

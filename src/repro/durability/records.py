@@ -41,6 +41,10 @@ RECORD_VERSION = 1
 #: Name of the quarantine subdirectory created next to corrupt records.
 QUARANTINE_DIR = "quarantine"
 
+#: Age in seconds past which a store opening a directory reclaims a
+#: ``.tmp<pid>`` orphan; younger ones may belong to a live writer.
+TMP_SWEEP_AGE = 60.0
+
 #: Envelope keys; a JSON object carrying all of them is an envelope.
 _ENVELOPE_KEYS = frozenset(("v", "schema", "sha256", "body"))
 
@@ -227,7 +231,7 @@ def quarantine_count(root: Path) -> int:
     return sum(1 for p in qdir.iterdir() if p.is_file())
 
 
-def sweep_tmp(directory: Path, max_age: float = 60.0,
+def sweep_tmp(directory: Path, max_age: float = TMP_SWEEP_AGE,
               now: Optional[float] = None) -> int:
     """Remove orphaned ``*.tmp*`` files older than ``max_age`` seconds.
 

@@ -25,8 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..common.config import SystemConfig, table_i
 from ..durability.faultyfs import NULL_FS
-from ..durability.records import (CorruptRecord, quarantine,
-                                  read_record, sweep_tmp, write_record)
+from ..durability.spool import RecordDir
 from ..energy.mcpat import attach_energy
 from ..sim.results import SimResult
 from ..sim.system import System
@@ -103,18 +102,19 @@ class Runner:
         self.simpoints = max(1, simpoints)
         #: 16-core simulations are ~10x more expensive per point.
         self.parsec_simpoints = max(1, parsec_simpoints)
-        self.use_disk_cache = use_disk_cache
         if cache_dir is None:
             cache_dir = os.environ.get(
                 "REPRO_CACHE", str(Path.cwd() / ".repro_cache"))
         self.cache_dir = Path(cache_dir)
-        self.fs = fs
-        #: Orphaned tmp files reclaimed on open; corrupt cache entries
-        #: quarantined (and recomputed) by this runner's reads.
-        self.tmp_swept = sweep_tmp(self.cache_dir) \
-            if use_disk_cache else 0
-        self.cache_quarantined = 0
+        self._disk = RecordDir(self.cache_dir, self.CACHE_SCHEMA, fs) \
+            if use_disk_cache else None
         self._memory: Dict[Tuple, SimResult] = {}
+
+    @property
+    def cache_quarantined(self) -> int:
+        """Corrupt disk-cache entries moved aside (and recomputed),
+        derived from disk."""
+        return self._disk.quarantined() if self._disk is not None else 0
 
     def params(self) -> Dict:
         """Constructor kwargs that reproduce this runner's trace and
@@ -208,7 +208,12 @@ class Runner:
         key = self.point_key(pt)
         if key in self._memory:
             return self._memory[key]
-        result = self._load_disk(key)
+        if self._disk is None:
+            return None
+        # Envelope-validated (a pre-envelope entry, a bare result dict,
+        # passes through); a torn or bit-rotted entry must never feed a
+        # figure: it is quarantined and the point recomputed.
+        result = self._disk.get(self._cache_name(key), SimResult.from_dict)
         if result is not None:
             self._memory[key] = result
         return result
@@ -216,7 +221,8 @@ class Runner:
     def store(self, pt: Point, result: SimResult) -> None:
         """Insert an executed point into both cache layers."""
         key = self.point_key(pt)
-        self._store_disk(key, result)
+        if self._disk is not None:
+            self._disk.put(self._cache_name(key), result.to_dict())
         self._memory[key] = result
 
     # -- derived metrics (aggregated over simpoints) ------------------------
@@ -254,40 +260,10 @@ class Runner:
         return stalled / total if total else 0.0
 
     # -- disk cache ---------------------------------------------------------
-    def _cache_path(self, key: Tuple) -> Path:
+    @staticmethod
+    def _cache_name(key: Tuple) -> str:
         blob = json.dumps([source_fingerprint(), *key]).encode()
-        name = hashlib.sha256(blob).hexdigest()[:24] + ".json"
-        return self.cache_dir / name
-
-    def _load_disk(self, key: Tuple) -> Optional[SimResult]:
-        if not self.use_disk_cache:
-            return None
-        path = self._cache_path(key)
-        try:
-            # Envelope-validated; pre-envelope entries (a bare result
-            # dict) pass through read_record unchanged.
-            doc = read_record(path, self.CACHE_SCHEMA)
-        except CorruptRecord:
-            # A torn or bit-rotted cache entry must never feed a
-            # figure: move it aside and recompute the point.
-            quarantine(path, root=self.cache_dir)
-            self.cache_quarantined += 1
-            return None
-        if doc is None:
-            return None
-        try:
-            return SimResult.from_dict(doc)
-        except (ValueError, KeyError, TypeError):
-            quarantine(path, root=self.cache_dir)
-            self.cache_quarantined += 1
-            return None
-
-    def _store_disk(self, key: Tuple, result: SimResult) -> None:
-        if not self.use_disk_cache:
-            return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        write_record(self._cache_path(key), self.CACHE_SCHEMA,
-                     result.to_dict(), fs=self.fs)
+        return hashlib.sha256(blob).hexdigest()[:24] + ".json"
 
 
 def _simulate_payload(payload: Tuple[Dict, Point]) -> Tuple[Dict, float]:

@@ -2,9 +2,10 @@
 bookkeeping — in memory (the default) or on disk (durable).
 
 The disk store makes a model-check run *durable and distributable* by
-reusing the spool-dir discipline of :mod:`repro.service.queue`: every
-record is one small JSON file, every state transition is one atomic
-``os.rename`` (or an ``os.link`` where first-writer-wins matters), so
+building on :mod:`repro.durability.spool`, like the service queue:
+every record is one small JSON file in a :class:`RecordDir`, every
+state transition is one atomic ``os.rename`` of a :class:`Spool` entry
+(or an ``os.link`` where first-writer-wins matters), so
 
 * a SIGKILL at any instant loses no work — ``recover()`` renames the
   ``running/`` leftovers back to ``pending/`` and the redo is
@@ -35,8 +36,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..durability.faultyfs import NULL_FS
-from ..durability.records import (CorruptRecord, quarantine,
-                                  read_record, sweep_tmp, write_record)
+from ..durability.fsck import Layout, Records
+from ..durability.spool import RecordDir, Spool
 
 #: Signature tuples survive a JSON round-trip as lists; normalise back.
 def _sig(raw) -> Tuple:
@@ -164,77 +165,66 @@ class MemoryFrontier:
         return 0
 
 
+def _done_ids(root: Path) -> Set[str]:
+    """Ids of the records any worker acked (its ``done-<pid>.log``)."""
+    done: Set[str] = set()
+    for log in Path(root).glob("done-*.log"):
+        try:
+            done.update(line for line in log.read_text().splitlines()
+                        if line)
+        except FileNotFoundError:
+            continue
+    return done
+
+
+#: The spool's directory tree, for :class:`DiskFrontier` and ``repro
+#: fsck``: meta/violation/stats records at the root, the pending/running
+#: record spool, visited claims (plus compacted segments), terminal and
+#: proviso markers; one quarantine at the root.
+FRONTIER_LAYOUT = Layout(
+    "frontier",
+    dirs=(Records(""), Records("visited", "frontier-claim"),
+          Records("terminals", "frontier-terminal"),
+          Records("prov", "frontier-prov")),
+    spool=Records("", "frontier-record"),
+    finished=lambda root: {f"{rid}.json" for rid in _done_ids(root)},
+    quarantine="")
+
+
 class DiskFrontier:
     """A durable, multi-process frontier over a spool directory."""
 
     durable = True
 
-    def __init__(self, root, fs=NULL_FS, fsync: bool = False,
-                 sweep_age: float = 60.0) -> None:
+    def __init__(self, root, fs=NULL_FS, fsync: bool = False) -> None:
         self.root = Path(root)
-        self.pending_dir = self.root / "pending"
-        self.running_dir = self.root / "running"
-        self.visited_dir = self.root / "visited"
-        self.terminal_dir = self.root / "terminals"
-        self.prov_dir = self.root / "prov"
-        for directory in (self.pending_dir, self.running_dir,
-                          self.visited_dir, self.terminal_dir,
-                          self.prov_dir):
-            directory.mkdir(parents=True, exist_ok=True)
-        self.fs = fs
-        self.fsync = fsync
-        #: Orphaned tmp files reclaimed on open; corrupt records moved
-        #: aside by this process's reads.
-        self.tmp_swept = sum(
-            sweep_tmp(d, max_age=sweep_age)
-            for d in (self.root, self.pending_dir, self.running_dir,
-                      self.visited_dir, self.terminal_dir,
-                      self.prov_dir))
-        self.quarantined = 0
+        dirs = [RecordDir(self.root / decl.rel, decl.schema, fs, fsync,
+                          quarantine_root=self.root)
+                for decl in FRONTIER_LAYOUT.dirs]
+        self.top, self.visited, self.terminals, self.prov = dirs
+        self.spool = Spool(self.root, FRONTIER_LAYOUT.spool.schema, fs,
+                           fsync, quarantine_root=self.root)
+        #: Orphaned tmp files reclaimed on open.
+        self.tmp_swept = self.spool.tmp_swept \
+            + sum(d.tmp_swept for d in dirs)
         self._done: Set[str] = set()
         self._done_log = self.root / f"done-{os.getpid()}.log"
         self._load_done()
 
-    # -- small file helpers --------------------------------------------------
-    def _write_atomic(self, path: Path, payload: dict,
-                      schema: str) -> None:
-        write_record(path, schema, payload, fs=self.fs,
-                     fsync=self.fsync)
-
-    def _write_exclusive(self, path: Path, payload: dict,
-                         schema: str) -> bool:
-        """First-writer-wins creation; True when this call created it."""
-        return write_record(path, schema, payload, fs=self.fs,
-                            fsync=self.fsync, exclusive=True)
-
-    def _read(self, path: Path, schema: Optional[str] = None) \
-            -> Optional[dict]:
-        """Read and validate one spool record; a corrupt record is
-        quarantined into ``<root>/quarantine/`` (kept as evidence for
-        ``repro fsck``) and reads as missing."""
-        try:
-            return read_record(path, schema)
-        except CorruptRecord:
-            if quarantine(path, root=self.root) is not None:
-                self.quarantined += 1
-            return None
+    @property
+    def quarantined(self) -> int:
+        """Corrupt records moved aside so far (derived from disk)."""
+        return self.top.quarantined()
 
     def _load_done(self) -> None:
-        for log in self.root.glob("done-*.log"):
-            try:
-                for line in log.read_text().splitlines():
-                    if line:
-                        self._done.add(line)
-            except FileNotFoundError:
-                continue
+        self._done |= _done_ids(self.root)
 
     # -- queue ---------------------------------------------------------------
     def seed(self, meta: dict, record: dict) -> bool:
         """Write job metadata and the root record, or — when the spool
         already holds a run — recover it instead.  Returns True when
         resuming."""
-        meta_path = self.root / "meta.json"
-        if meta_path.exists():
+        if self.top.path("meta.json").exists():
             self.recover()
             return True
         # Root record first, meta last: meta.json is the commit point
@@ -242,101 +232,68 @@ class DiskFrontier:
         # promises.  (The reverse order had a crash window that left a
         # spool which "resumed" to an instantly-complete empty run.)
         self.push(record)
-        self._write_atomic(meta_path, meta, "frontier-meta")
+        self.top.put("meta.json", meta, "frontier-meta")
         return False
 
     def meta(self) -> Optional[dict]:
-        return self._read(self.root / "meta.json")
-
-    def _names(self, directory: Path) -> List[str]:
-        try:
-            names = [n for n in os.listdir(directory)
-                     if n.endswith(".json")]
-        except FileNotFoundError:
-            return []
-        names.sort()
-        return names
+        return self.top.get("meta.json")
 
     def queue_empty(self) -> bool:
-        return not self._names(self.pending_dir)
+        return not self.spool.pending.names()
 
     def running_empty(self) -> bool:
-        return not self._names(self.running_dir)
+        return not self.spool.running.names()
 
     def push(self, record: dict) -> None:
         name = record["id"] + ".json"
         if (record["id"] in self._done
-                or (self.pending_dir / name).exists()
-                or (self.running_dir / name).exists()):
+                or self.spool.pending.path(name).exists()
+                or self.spool.running.path(name).exists()):
             return
         payload = dict(record)
         payload["prefix"] = list(record["prefix"])
         payload["sleep"] = [list(s) for s in record["sleep"]]
-        self._write_atomic(self.pending_dir / name, payload,
-                           "frontier-record")
+        self.spool.submit(name, payload)
 
     def pop(self) -> Optional[dict]:
-        for name in self._names(self.pending_dir):
-            src = self.pending_dir / name
-            dst = self.running_dir / name
-            try:
-                os.rename(src, dst)
-            except (FileNotFoundError, OSError):
-                continue      # another worker won the claim
-            payload = self._read(dst, "frontier-record")
-            if payload is None or payload["id"] in self._done:
-                # A stale duplicate of an already-finished record —
-                # or a corrupt one, which ``_read`` has quarantined
-                # (kept for fsck rather than silently unlinked).
-                try:
-                    os.unlink(dst)
-                except FileNotFoundError:
-                    pass
-                continue
-            return _load_record(payload)
+        names = iter(self.spool.pending.names())
+        while (name := self.spool.claim(names)) is not None:
+            payload = self.spool.running.get(name)
+            if payload is not None and payload["id"] not in self._done:
+                return _load_record(payload)
+            # A stale duplicate of an already-finished record — or a
+            # corrupt one, which ``get`` has quarantined (kept for
+            # fsck rather than silently unlinked).
+            self.spool.ack(name)
         return None
 
     def ack(self, record: dict) -> None:
         self._done.add(record["id"])
         with open(self._done_log, "a") as log:
             log.write(record["id"] + "\n")
-        try:
-            os.unlink(self.running_dir / (record["id"] + ".json"))
-        except FileNotFoundError:
-            pass
+        self.spool.ack(record["id"] + ".json")
 
     def recover(self) -> int:
         """Requeue running leftovers (a killed worker's claims)."""
         self._load_done()
         requeued = 0
-        for name in self._names(self.running_dir):
-            src = self.running_dir / name
+        for name in self.spool.running.names():
             if name[:-5] in self._done:
-                try:
-                    os.unlink(src)
-                except FileNotFoundError:
-                    pass
-                continue
-            try:
-                os.rename(src, self.pending_dir / name)
+                self.spool.ack(name)
+            elif self.spool.requeue(name):
                 requeued += 1
-            except (FileNotFoundError, OSError):
-                continue
         return requeued
 
     # -- visited claims ------------------------------------------------------
-    def _claim_path(self, key: str) -> Path:
-        return self.visited_dir / f"k-{key}.json"
-
     def claim(self, key: str, owner: str, sleep) -> str:
         if self._segment_lookup(key) is not None:
             return "seen"     # already compacted: its owner was acked
+        name = f"k-{key}.json"
         payload = {"key": key, "owner": owner,
                    "sleep": [list(s) for s in sorted(frozenset(sleep))]}
-        if self._write_exclusive(self._claim_path(key), payload,
-                                 "frontier-claim"):
+        if self.visited.put_once(name, payload):
             return "new"
-        existing = self._read(self._claim_path(key), "frontier-claim")
+        existing = self.visited.get(name)
         if existing is not None and existing.get("owner") == owner:
             return "ours"     # crash redo of our own expansion
         if existing is None and self._segment_lookup(key) is None:
@@ -344,20 +301,19 @@ class DiskFrontier:
             # a segment mid-read) or was corrupt and has just been
             # quarantined; in the latter case the key is unclaimed
             # again — retake it so the state is not silently skipped.
-            if self._write_exclusive(self._claim_path(key), payload,
-                                     "frontier-claim"):
+            if self.visited.put_once(name, payload):
                 return "new"
         return "seen"
 
     def _segment_lookup(self, key: str) -> Optional[dict]:
-        for seg in self.visited_dir.glob("seg-*.json"):
-            payload = self._read(seg)
+        for name in self.visited.names("seg-"):
+            payload = self.visited.get(name)
             if payload and key in payload.get("keys", {}):
                 return payload["keys"][key]
         return None
 
     def get_sleep(self, key: str) -> Optional[frozenset]:
-        payload = self._read(self._claim_path(key))
+        payload = self.visited.get(f"k-{key}.json")
         if payload is None:
             payload = self._segment_lookup(key)
         if payload is None:
@@ -365,17 +321,15 @@ class DiskFrontier:
         return _sleep_set(payload.get("sleep", []))
 
     def set_sleep(self, key: str, sleep) -> None:
-        payload = self._read(self._claim_path(key)) or {"key": key,
-                                                        "owner": ""}
+        name = f"k-{key}.json"
+        payload = self.visited.get(name) or {"key": key, "owner": ""}
         payload["sleep"] = [list(s) for s in sorted(frozenset(sleep))]
-        self._write_atomic(self._claim_path(key), payload,
-                           "frontier-claim")
+        self.visited.put(name, payload)
 
     def visited_count(self) -> int:
-        keys = {name[2:-5] for name in os.listdir(self.visited_dir)
-                if name.startswith("k-") and name.endswith(".json")}
-        for seg in self.visited_dir.glob("seg-*.json"):
-            payload = self._read(seg)
+        keys = {name[2:-5] for name in self.visited.names("k-")}
+        for name in self.visited.names("seg-"):
+            payload = self.visited.get(name)
             if payload:
                 keys.update(payload.get("keys", {}))
         return len(keys)
@@ -388,23 +342,20 @@ class DiskFrontier:
         self._load_done()
         merged: Dict[str, dict] = {}
         victims: List[Path] = []
-        for name in sorted(os.listdir(self.visited_dir)):
-            if not (name.startswith("k-") and name.endswith(".json")):
-                continue
-            path = self.visited_dir / name
-            payload = self._read(path)
+        for name in self.visited.names("k-"):
+            payload = self.visited.get(name)
             if payload is None or payload.get("owner") not in self._done:
                 continue
             merged[payload["key"]] = {"sleep": payload.get("sleep", [])}
-            victims.append(path)
+            victims.append(self.visited.path(name))
         if not merged:
             return 0
         seg_id = hashlib.sha1(
             "".join(sorted(merged)).encode()).hexdigest()[:12]
-        seg = self.visited_dir / f"seg-{seg_id}.json"
-        existing = self._read(seg) or {"keys": {}}
+        seg = f"seg-{seg_id}.json"
+        existing = self.visited.get(seg) or {"keys": {}}
         existing["keys"].update(merged)
-        self._write_atomic(seg, existing, "frontier-claim")
+        self.visited.put(seg, existing)
         for path in victims:
             try:
                 os.unlink(path)
@@ -414,74 +365,60 @@ class DiskFrontier:
 
     # -- terminal states -----------------------------------------------------
     def terminal(self, record_id: str, key: str) -> None:
-        self._write_exclusive(self.terminal_dir / f"t-{record_id}.json",
-                              {"key": key}, "frontier-terminal")
+        self.terminals.put_once(f"t-{record_id}.json", {"key": key})
 
     def terminal_stats(self) -> Tuple[int, Tuple[str, ...]]:
         keys = []
-        count = 0
-        for name in os.listdir(self.terminal_dir):
-            if not name.endswith(".json"):
-                continue
-            payload = self._read(self.terminal_dir / name)
-            if payload is None:
-                continue
-            count += 1
-            keys.append(payload["key"])
-        return count, tuple(sorted(set(keys)))
+        for name in self.terminals.names():
+            payload = self.terminals.get(name)
+            if payload is not None:
+                keys.append(payload["key"])
+        return len(keys), tuple(sorted(set(keys)))
 
     # -- proviso -------------------------------------------------------------
     def proviso_open(self, key: str, expect: int, prefix) -> None:
-        self._write_exclusive(self.prov_dir / f"p-{key}.json",
-                              {"expect": expect, "prefix": list(prefix)},
-                              "frontier-prov")
+        self.prov.put_once(f"p-{key}.json",
+                           {"expect": expect, "prefix": list(prefix)})
 
     def proviso_resolve(self, key: str, child_id: str,
                         fresh: bool) -> Optional[tuple]:
-        self._write_exclusive(
-            self.prov_dir / f"m-{key}-{child_id}.json", {"fresh": fresh},
-            "frontier-prov")
-        head = self._read(self.prov_dir / f"p-{key}.json")
+        self.prov.put_once(f"m-{key}-{child_id}.json", {"fresh": fresh})
+        head = self.prov.get(f"p-{key}.json")
         if head is None:
             return None
         resolved = 0
         any_fresh = False
-        marker_prefix = f"m-{key}-"
-        for name in os.listdir(self.prov_dir):
-            if not name.startswith(marker_prefix):
-                continue
-            payload = self._read(self.prov_dir / name)
+        for name in self.prov.names(f"m-{key}-"):
+            payload = self.prov.get(name)
             if payload is None:
                 continue
             resolved += 1
             any_fresh = any_fresh or payload.get("fresh", False)
         if resolved < head["expect"] or any_fresh:
             return None
-        if self._write_exclusive(self.prov_dir / f"r-{key}.json", {},
-                                 "frontier-prov"):
+        if self.prov.put_once(f"r-{key}.json", {}):
             return tuple(head["prefix"])
         return None
 
     # -- violation -----------------------------------------------------------
     def set_violation(self, payload: dict) -> bool:
-        return self._write_exclusive(self.root / "violation.json",
-                                     payload, "frontier-violation")
+        return self.top.put_once("violation.json", payload,
+                                 "frontier-violation")
 
     def get_violation(self) -> Optional[dict]:
-        return self._read(self.root / "violation.json")
+        return self.top.get("violation.json")
 
     # -- worker stats --------------------------------------------------------
     def add_stats(self, label: str, executions: int) -> None:
         """Persist a finished worker's execution count so the merged
         report reflects the whole fleet's work."""
-        self._write_atomic(self.root / f"stats-{label}.json",
-                           {"executions": executions},
-                           "frontier-stats")
+        self.top.put(f"stats-{label}.json", {"executions": executions},
+                     "frontier-stats")
 
     def stats_executions(self) -> int:
         total = 0
-        for path in self.root.glob("stats-*.json"):
-            payload = self._read(path)
+        for name in self.top.names("stats-"):
+            payload = self.top.get(name)
             if payload:
                 total += int(payload.get("executions", 0))
         return total

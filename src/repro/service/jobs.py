@@ -15,9 +15,10 @@ and share one artifact.  Priority is deliberately excluded from the
 digest: it changes when the work runs, not what the work is.
 
 :class:`JobRecord` is the durable per-job state machine
-(``queued -> running -> done | failed``), persisted as one JSON file
-per job with atomic replace, so any process (API, worker, monitor)
-can transition a job without a coordinator.
+(``queued -> running -> done | failed``), persisted as one record per
+job in a :class:`~repro.durability.spool.RecordDir` with atomic
+replace, so any process (API, worker, monitor) can transition a job
+without a coordinator.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..common.errors import ReproError
 from ..durability.faultyfs import NULL_FS
-from ..durability.records import (quarantine_count, read_or_quarantine,
-                                  sweep_tmp, write_record)
+from ..durability.spool import RecordDir
 
 #: Everything the service knows how to execute, in doc order.
 JOB_KINDS = ("sweep", "check", "faults", "bench", "synthetic")
@@ -241,35 +241,6 @@ def job_id(kind: str, spec: Dict[str, Any]) -> str:
 # Durable job records
 # ----------------------------------------------------------------------
 
-def write_json_atomic(path: Path, payload: Dict[str, Any],
-                      schema: str = "generic", fs=NULL_FS,
-                      fsync: bool = False) -> None:
-    """Crash-safe JSON write: checksummed envelope, tmp file + atomic
-    replace.
-
-    Concurrent writers each write their own tmp (pid-suffixed) and the
-    last replace wins whole — a reader never observes a torn file; the
-    envelope means a reader also never *trusts* one the storage tore
-    behind our back.  ``fs`` routes the write through a fault shim
-    (chaos drills), ``fsync`` buys power-loss durability at the cost
-    of two syncs per record.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_record(path, schema, payload, fs=fs, fsync=fsync)
-
-
-def read_json(path: Path,
-              schema: Optional[str] = None) -> Optional[Dict[str, Any]]:
-    """Read a JSON file written by :func:`write_json_atomic`; ``None``
-    when missing.  A file that exists but fails validation (torn,
-    truncated, bit-rotted, wrong schema) is *quarantined* — moved into
-    a ``quarantine/`` sibling directory — and also reads as ``None``,
-    so the caller's missing-record recovery path handles it instead of
-    an exception unwinding a worker or monitor loop."""
-    return read_or_quarantine(path, schema)
-
-
 @dataclass
 class JobRecord:
     """Durable state of one job; JSON-plain, one file per job."""
@@ -304,6 +275,12 @@ class JobRecord:
     @property
     def active(self) -> bool:
         return self.status in ("queued", "running")
+
+    def reset(self) -> None:
+        """Back to ``queued`` with no owner (the job is requeued)."""
+        self.status = "queued"
+        self.worker = None
+        self.pid = None
 
     @property
     def latency(self) -> Optional[float]:
@@ -344,43 +321,35 @@ class JobRecord:
 
 
 class JobStore:
-    """The ``jobs/`` directory: one atomic JSON file per job record."""
+    """The ``jobs/`` directory: one record file per job."""
 
     #: Envelope schema tag of job records.
     SCHEMA = "job-record"
 
-    def __init__(self, root: Path, fs=NULL_FS, fsync: bool = False,
-                 sweep_age: float = 60.0) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.fs = fs
-        self.fsync = fsync
+    def __init__(self, root: Path, fs=NULL_FS, fsync: bool = False) -> None:
+        self.records = RecordDir(root, self.SCHEMA, fs, fsync)
         #: Orphaned tmp files reclaimed when this store opened.
-        self.tmp_swept = sweep_tmp(self.root, max_age=sweep_age)
+        self.tmp_swept = self.records.tmp_swept
 
     def path(self, job: str) -> Path:
-        return self.root / f"{job}.json"
+        return self.records.path(f"{job}.json")
 
     def load(self, job: str) -> Optional[JobRecord]:
-        data = read_json(self.path(job), self.SCHEMA)
-        return JobRecord.from_dict(data) if data else None
+        """The job's record; None when missing or corrupt (a corrupt
+        one is quarantined)."""
+        return self.records.get(f"{job}.json", JobRecord.from_dict)
 
     def save(self, record: JobRecord) -> None:
-        write_json_atomic(self.path(record.id), record.to_dict(),
-                          schema=self.SCHEMA, fs=self.fs,
-                          fsync=self.fsync)
+        self.records.put(f"{record.id}.json", record.to_dict())
 
     def all(self) -> List[JobRecord]:
-        records = []
-        for path in sorted(self.root.glob("*.json")):
-            data = read_json(path, self.SCHEMA)
-            if data:
-                records.append(JobRecord.from_dict(data))
-        return records
+        records = (self.records.get(name, JobRecord.from_dict)
+                   for name in self.records.names())
+        return [record for record in records if record is not None]
 
     def quarantined(self) -> int:
         """Corrupt records moved aside so far (derived from disk)."""
-        return quarantine_count(self.root)
+        return self.records.quarantined()
 
 
 def submit_record(kind: str, spec: Dict[str, Any], priority: str,

@@ -5,7 +5,8 @@ The queue is two spool directories of tiny entry files::
     queue/pending/p<priority>-<seq>-<job id>.json
     queue/running/p<priority>-<seq>-<job id>.json
 
-Every transition is a single atomic ``os.rename`` of one entry file,
+The two directories are a :class:`~repro.durability.spool.Spool`:
+every transition is a single atomic ``os.rename`` of one entry file,
 which gives three properties with no locks and no daemon:
 
 * **claim is race-free** — many workers may try to rename the same
@@ -26,6 +27,10 @@ The backlog is bounded: :meth:`DiskQueue.submit` refuses work beyond
 the API layer turns into HTTP 429.  Shedding happens *only* at the
 submission edge — once an entry is accepted it is never dropped, only
 drained or explicitly failed after its retry budget.
+
+:class:`QueueAudit` cross-checks the entries against the job records;
+the service monitor and ``repro fsck`` (through :data:`SERVICE_LAYOUT`,
+the whole service data dir declared as data) share it.
 """
 
 from __future__ import annotations
@@ -35,13 +40,15 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..common.errors import ReproError
 from ..durability.faultyfs import NULL_FS
-from ..durability.records import quarantine_count, sweep_tmp
-from .jobs import DEFAULT_PRIORITY, PRIORITIES, read_json, \
-    write_json_atomic
+from ..durability.fsck import FsckReport, Layout, Records
+from ..durability.records import CorruptRecord, read_record, write_record
+from ..durability.spool import Spool, record_names
+from .jobs import DEFAULT_PRIORITY, PRIORITIES, JobRecord, JobStore
+from .store import ArtifactStore
 
 
 class QueueFull(ReproError):
@@ -71,55 +78,62 @@ class Entry:
         return f"Entry({self.name})"
 
 
+def _entries(names: Iterable[str]) -> List[Entry]:
+    entries = []
+    for name in names:
+        try:
+            entries.append(Entry(name))
+        except (ValueError, IndexError):
+            continue
+    return entries
+
+
+def entry_name(job: str, priority: str, seq: int) -> str:
+    """The filename of a fresh entry: priority band, then submission
+    order (ms timestamp, pid, per-process ``seq``), then the job id."""
+    stamp = time.time_ns() // 1_000_000
+    return f"p{PRIORITIES[priority]}-{stamp:015d}" \
+           f"{os.getpid() % 100_000:05d}{seq:06d}-{job}.json"
+
+
+def entry_body(name: str) -> Optional[dict]:
+    """An entry's payload, which is a pure function of its filename."""
+    try:
+        entry = Entry(name)
+    except (ValueError, IndexError):
+        return None
+    by_num = {num: label for label, num in PRIORITIES.items()}
+    return {"job": entry.job,
+            "priority": by_num.get(entry.priority, DEFAULT_PRIORITY)}
+
+
 class DiskQueue:
-    """Priority FIFO over spool directories (see module docstring)."""
+    """Priority FIFO over a pending/running spool (see module
+    docstring)."""
 
     #: Envelope schema tag of queue entry payloads.
     SCHEMA = "queue-entry"
 
     def __init__(self, root: Path, max_backlog: int = 64, fs=NULL_FS,
-                 fsync: bool = False, sweep_age: float = 60.0) -> None:
-        self.root = Path(root)
-        self.pending_dir = self.root / "pending"
-        self.running_dir = self.root / "running"
-        self.pending_dir.mkdir(parents=True, exist_ok=True)
-        self.running_dir.mkdir(parents=True, exist_ok=True)
+                 fsync: bool = False) -> None:
+        self.spool = Spool(root, self.SCHEMA, fs, fsync)
+        self.pending_dir = self.spool.pending.root
+        self.running_dir = self.spool.running.root
         self.max_backlog = max_backlog
-        self.fs = fs
-        self.fsync = fsync
-        #: Orphaned tmp files reclaimed when this queue opened (a
-        #: crash between an entry's write and its rename leaks one).
-        self.tmp_swept = sweep_tmp(self.pending_dir, max_age=sweep_age) \
-            + sweep_tmp(self.running_dir, max_age=sweep_age)
+        #: Orphaned tmp files reclaimed when this queue opened.
+        self.tmp_swept = self.spool.tmp_swept
         # Sequence numbers only need to be unique and increasing per
         # submitting process; cross-process ties break on the counter
         # suffix which embeds the pid.
         self._seq = itertools.count()
-        self._pid = os.getpid()
         self._lock = threading.Lock()
 
     # -- introspection -------------------------------------------------------
-    def _entries(self, directory: Path) -> List[Entry]:
-        entries = []
-        try:
-            names = os.listdir(directory)
-        except FileNotFoundError:
-            return []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                entries.append(Entry(name))
-            except (ValueError, IndexError):
-                continue
-        entries.sort(key=lambda e: e.name)
-        return entries
-
     def pending(self) -> List[Entry]:
-        return self._entries(self.pending_dir)
+        return _entries(self.spool.pending.names())
 
     def running(self) -> List[Entry]:
-        return self._entries(self.running_dir)
+        return _entries(self.spool.running.names())
 
     def depth(self) -> int:
         return len(self.pending())
@@ -141,21 +155,12 @@ class DiskQueue:
         Raises :class:`QueueFull` when the pending backlog is at
         ``max_backlog`` — the *only* point where work is ever refused.
         """
-        prio = PRIORITIES[priority]
         with self._lock:
             depth = self.depth()
             if depth >= self.max_backlog:
                 raise QueueFull(depth, self.max_backlog)
-            seq = next(self._seq)
-            # time_ns keeps ordering sane across submitting processes;
-            # the (pid, seq) suffix guarantees uniqueness within one.
-            stamp = time.time_ns() // 1_000_000
-            name = f"p{prio}-{stamp:015d}{self._pid % 100_000:05d}" \
-                   f"{seq:06d}-{job}.json"
-            write_json_atomic(self.pending_dir / name,
-                              {"job": job, "priority": priority},
-                              schema=self.SCHEMA, fs=self.fs,
-                              fsync=self.fsync)
+            name = entry_name(job, priority, next(self._seq))
+            self.spool.submit(name, {"job": job, "priority": priority})
         return name
 
     # -- consumer edge -------------------------------------------------------
@@ -165,22 +170,12 @@ class DiskQueue:
         Returns the claimed entry, or ``None`` when the queue is empty.
         Safe to call concurrently from any number of processes.
         """
-        for entry in self.pending():
-            src = self.pending_dir / entry.name
-            dst = self.running_dir / entry.name
-            try:
-                os.rename(src, dst)
-            except (FileNotFoundError, OSError):
-                continue    # someone else won this entry
-            return entry
-        return None
+        name = self.spool.claim(e.name for e in self.pending())
+        return Entry(name) if name is not None else None
 
     def ack(self, entry_name: str) -> None:
         """The claimed job finished (terminally); drop its entry."""
-        try:
-            os.unlink(self.running_dir / entry_name)
-        except FileNotFoundError:
-            pass
+        self.spool.ack(entry_name)
 
     def requeue(self, entry_name: str) -> bool:
         """Move a running entry back to pending (worker died/retreated).
@@ -188,38 +183,107 @@ class DiskQueue:
         Returns ``False`` when the entry is gone (already acked or
         requeued by someone else) — requeue races are benign.
         """
-        try:
-            os.rename(self.running_dir / entry_name,
-                      self.pending_dir / entry_name)
-        except (FileNotFoundError, OSError):
-            return False
-        return True
+        return self.spool.requeue(entry_name)
 
     def entry_payload(self, directory: Path, entry_name: str) -> Optional[dict]:
-        payload = read_json(directory / entry_name, self.SCHEMA)
-        if payload is None:
-            # Missing or corrupt (read_json quarantined it).  The
-            # payload is a pure function of the entry name — rebuild
-            # it so a rotted entry never strands its job.
-            try:
-                entry = Entry(entry_name)
-            except (ValueError, IndexError):
-                return None
-            by_num = {num: label for label, num in PRIORITIES.items()}
-            payload = {"job": entry.job,
-                       "priority": by_num.get(entry.priority,
-                                              DEFAULT_PRIORITY)}
-        return payload
+        records = self.spool.pending if Path(directory) == self.pending_dir \
+            else self.spool.running
+        # Missing or corrupt (quarantined by ``get``): rebuild it from
+        # the name so a rotted entry never strands its job.
+        return records.get(entry_name) or entry_body(entry_name)
 
     def quarantined(self) -> int:
         """Corrupt entries moved aside so far (derived from disk)."""
-        return quarantine_count(self.pending_dir) \
-            + quarantine_count(self.running_dir)
+        return self.spool.pending.quarantined() \
+            + self.spool.running.quarantined()
 
-    def running_age(self, entry_name: str) -> Optional[float]:
-        """Seconds since the entry was claimed; ``None`` if gone."""
+
+
+class QueueAudit:
+    """Queue entries cross-checked against job records — the one
+    classification behind the service monitor's repairs and ``repro
+    fsck``'s orphan-entry, lost-entry and dangling-running findings.
+
+    Pass the entry listings *before* reading the records, so no record
+    is older than the listing it is matched against.
+    """
+
+    def __init__(self, pending: List[Entry], running: List[Entry],
+                 records: Iterable[JobRecord]) -> None:
+        by_id = {record.id: record for record in records}
+        queued = {entry.job for entry in pending + running}
+
+        def active(entry: Entry) -> bool:
+            record = by_id.get(entry.job)
+            return record is not None and record.active
+
+        #: Pending entries with no job record: nothing says what to run.
+        self.orphans = [e for e in pending if e.job not in by_id]
+        #: Running entries whose job is gone or terminal: only the
+        #: entry is left over (a worker died between record and ack).
+        self.finished = [e for e in running if not active(e)]
+        #: Running entries of active jobs: the claimant's liveness and
+        #: lease decide.
+        self.claimed = [(e, by_id[e.job]) for e in running if active(e)]
+        #: Active records with no entry at all: to be re-enqueued.
+        self.lost = [r for r in by_id.values()
+                     if r.active and r.id not in queued]
+
+
+# ----------------------------------------------------------------------
+# The service data dir, as ``repro fsck`` scans it
+# ----------------------------------------------------------------------
+
+def _read_audit(root: Path) -> QueueAudit:
+    """A :class:`QueueAudit` read without side effects: corrupt job
+    records are skipped, not quarantined (fsck reports them itself)."""
+    pending = _entries(record_names(root / "queue" / "pending"))
+    running = _entries(record_names(root / "queue" / "running"))
+    records = []
+    for name in record_names(root / "jobs"):
         try:
-            claimed = os.stat(self.running_dir / entry_name).st_mtime
-        except FileNotFoundError:
-            return None
-        return max(0.0, time.time() - claimed)
+            data = read_record(root / "jobs" / name, JobStore.SCHEMA)
+        except CorruptRecord:
+            continue
+        if data:
+            records.append(JobRecord.from_dict(data))
+    return QueueAudit(pending, running, records)
+
+
+def _fsck_audit(root: Path, report: FsckReport) -> None:
+    pending = root / "queue" / "pending"
+    audit = _read_audit(root)
+    for entry in audit.orphans:
+        path = pending / entry.name
+        report.add("orphan-entry", path, "queue entry with no job record",
+                   fix=lambda path=path: path.unlink(missing_ok=True),
+                   action="removed")
+
+    def enqueue(record: JobRecord, seq: int) -> None:
+        record.reset()
+        write_record(root / "jobs" / f"{record.id}.json", JobStore.SCHEMA,
+                     record.to_dict())
+        write_record(pending / entry_name(record.id, record.priority, seq),
+                     DiskQueue.SCHEMA,
+                     {"job": record.id, "priority": record.priority})
+
+    for seq, record in enumerate(audit.lost):
+        report.add("lost-entry", root / "jobs" / f"{record.id}.json",
+                   f"{record.status} job {record.id} has no queue entry",
+                   fix=lambda r=record, n=seq: enqueue(r, n),
+                   action="re-enqueued")
+
+
+#: The service data dir: job records, the queue spool (entries rebuilt
+#: from their names), artifacts, the shared point cache, heartbeats
+#: (ephemeral), and check jobs' nested frontier spools under scratch/.
+SERVICE_LAYOUT = Layout(
+    "service",
+    dirs=(Records("jobs", JobStore.SCHEMA),
+          Records("store/artifacts", ArtifactStore.SCHEMA),
+          Records("store/points", "point-cache"),
+          Records("workers", "heartbeat", ephemeral=True)),
+    spool=Records("queue", DiskQueue.SCHEMA, rebuild=entry_body),
+    finished=lambda root: {e.name for e in _read_audit(root).finished},
+    audit=_fsck_audit,
+    nested="scratch")

@@ -33,7 +33,7 @@ from .api import ServiceAPI
 from .jobs import (JobRecord, JobStore, submit_record)
 from .metrics import (Counter, LATENCY_BUCKETS, render_counter_snapshot,
                       render_gauge, render_histogram)
-from .queue import DiskQueue, QueueFull
+from .queue import DiskQueue, QueueAudit, QueueFull
 from .store import ArtifactStore
 from .worker import BUSY, WorkerFleet, service_paths
 
@@ -53,7 +53,6 @@ class ServiceConfig:
     lease_seconds: float = 600.0     # hung-worker requeue backstop
     restart_workers: bool = True
     fsync: bool = False              # fsync durable records + dirs
-    tmp_sweep_age: float = 60.0      # orphaned-tmp reclaim age gate
     entry_repair_age: float = 2.0    # queued-record-without-entry age
 
 
@@ -78,12 +77,9 @@ class Service:
         self.paths = paths
         self.queue = DiskQueue(paths["queue"],
                                max_backlog=config.max_backlog,
-                               fsync=config.fsync,
-                               sweep_age=config.tmp_sweep_age)
-        self.jobs = JobStore(paths["jobs"], fsync=config.fsync,
-                             sweep_age=config.tmp_sweep_age)
-        self.store = ArtifactStore(paths["store"], fsync=config.fsync,
-                                   sweep_age=config.tmp_sweep_age)
+                               fsync=config.fsync)
+        self.jobs = JobStore(paths["jobs"], fsync=config.fsync)
+        self.store = ArtifactStore(paths["store"], fsync=config.fsync)
         self.fleet = WorkerFleet(paths["data"], size=config.workers,
                                  poll_interval=config.poll_interval,
                                  fsync=config.fsync)
@@ -233,24 +229,28 @@ class Service:
     # ------------------------------------------------------------------
     # Monitor: dead workers cost attempts, never jobs
     # ------------------------------------------------------------------
-    def _repair_running(self) -> int:
+    def _audit(self) -> QueueAudit:
+        # Listings first, records second (see QueueAudit).
+        return QueueAudit(self.queue.pending(), self.queue.running(),
+                          self.jobs.all())
+
+    def _claimant_alive(self, record: JobRecord) -> bool:
+        if record.worker in self.fleet.alive():
+            return self.fleet.is_alive(record.worker)
+        return _pid_alive(record.pid)
+
+    def _repair_running(self, audit: Optional[QueueAudit] = None) -> int:
         """Requeue running entries whose worker is gone (or fail them
         once their attempt budget is spent).  Returns entries touched."""
+        audit = audit or self._audit()
+        for entry in audit.finished:
+            # No record, or a terminal one with a leftover entry: the
+            # worker died between its final record save and the ack.
+            self.queue.ack(entry.name)
         repaired = 0
-        for entry in self.queue.running():
-            record = self.jobs.load(entry.job)
-            if record is None:
-                self.queue.ack(entry.name)
-                continue
-            if not record.active:
-                # Terminal record with a leftover entry: the worker
-                # died between its final record save and the ack.
-                self.queue.ack(entry.name)
-                continue
-            alive = self.fleet.is_alive(record.worker) \
-                if record.worker in self.fleet.alive() \
-                else _pid_alive(record.pid)
-            age = self.queue.running_age(entry.name)
+        for entry, record in audit.claimed:
+            alive = self._claimant_alive(record)
+            age = self.queue.spool.running_age(entry.name)
             expired = age is not None \
                 and age > self.config.lease_seconds
             if alive and not expired:
@@ -269,15 +269,14 @@ class Service:
                 self.queue.ack(entry.name)
                 self.metrics_requeues.inc(reason=f"{reason}-failed")
             else:
-                record.status = "queued"
-                record.worker = None
-                record.pid = None
+                record.reset()
                 self.jobs.save(record)
                 self.queue.requeue(entry.name)
                 self.metrics_requeues.inc(reason=reason)
         return repaired
 
-    def _repair_lost_entries(self) -> int:
+    def _repair_lost_entries(self,
+                             audit: Optional[QueueAudit] = None) -> int:
         """Re-enqueue active records that lost their queue entry — a
         crash between the record save and the entry write, or a
         corrupt entry that a reader quarantined.  Age-gated on the
@@ -285,28 +284,20 @@ class Service:
         record additionally needs its worker dead (a live worker holds
         the entry name in memory and will finish the job without it).
         Returns entries recreated."""
-        entries = {entry.job for entry in self.queue.pending()}
-        entries.update(entry.job for entry in self.queue.running())
+        audit = audit or self._audit()
         now = time.time()
         repaired = 0
-        for record in self.jobs.all():
-            if not record.active or record.id in entries:
+        for record in audit.lost:
+            if record.status == "running" \
+                    and self._claimant_alive(record):
                 continue
-            if record.status == "running":
-                alive = self.fleet.is_alive(record.worker) \
-                    if record.worker in self.fleet.alive() \
-                    else _pid_alive(record.pid)
-                if alive:
-                    continue
             try:
                 age = now - self.jobs.path(record.id).stat().st_mtime
             except OSError:
                 continue
             if age < self.config.entry_repair_age:
                 continue
-            record.status = "queued"
-            record.worker = None
-            record.pid = None
+            record.reset()
             self.jobs.save(record)
             try:
                 self.queue.submit(record.id, record.priority)
@@ -322,8 +313,9 @@ class Service:
                 if self.config.workers:
                     self.fleet.reap(respawn=self.config.restart_workers
                                     and not self._stop.is_set())
-                self._repair_running()
-                self._repair_lost_entries()
+                audit = self._audit()
+                self._repair_running(audit)
+                self._repair_lost_entries(audit)
             except Exception:    # noqa: BLE001 - monitor must survive
                 continue
 

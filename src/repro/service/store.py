@@ -1,10 +1,11 @@
 """Shared content-addressed artifact store.
 
 PR 1's per-runner disk cache promoted to a service-level store with two
-layers, both safe under concurrent writers (every write is a private
-tmp file + atomic ``os.replace``, so readers never see a torn artifact
-and two workers finishing the same content simply overwrite each other
-with identical bytes):
+layers, each a :class:`~repro.durability.spool.RecordDir` and so safe
+under concurrent writers (every write is a private tmp file + atomic
+``os.replace``, so readers never see a torn artifact and two workers
+finishing the same content simply overwrite each other with identical
+bytes):
 
 * **job artifacts** (``artifacts/<job id>.json``) — the full result
   payload of one job, keyed by the job's content digest.  Because the
@@ -25,8 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..durability.faultyfs import NULL_FS
-from ..durability.records import quarantine_count, sweep_tmp
-from .jobs import read_json, write_json_atomic
+from ..durability.spool import RecordDir
 
 
 class ArtifactStore:
@@ -35,23 +35,20 @@ class ArtifactStore:
     #: Envelope schema tag of job artifacts.
     SCHEMA = "artifact"
 
-    def __init__(self, root: Path, fs=NULL_FS, fsync: bool = False,
-                 sweep_age: float = 60.0) -> None:
-        self.root = Path(root)
-        self.artifact_dir = self.root / "artifacts"
-        self.point_cache_dir = self.root / "points"
-        self.artifact_dir.mkdir(parents=True, exist_ok=True)
-        self.point_cache_dir.mkdir(parents=True, exist_ok=True)
-        self.fs = fs
-        self.fsync = fsync
+    def __init__(self, root: Path, fs=NULL_FS, fsync: bool = False) -> None:
+        root = Path(root)
+        self.artifacts = RecordDir(root / "artifacts", self.SCHEMA, fs,
+                                   fsync)
+        # Written and read by each job's Runner; opened here for the
+        # tmp sweep and the stats.
+        self.points = RecordDir(root / "points")
+        self.point_cache_dir = self.points.root
         #: Orphaned tmp files reclaimed when this store opened.
-        self.tmp_swept = \
-            sweep_tmp(self.artifact_dir, max_age=sweep_age) \
-            + sweep_tmp(self.point_cache_dir, max_age=sweep_age)
+        self.tmp_swept = self.artifacts.tmp_swept + self.points.tmp_swept
 
     # -- job artifacts -------------------------------------------------------
     def path(self, job: str) -> Path:
-        return self.artifact_dir / f"{job}.json"
+        return self.artifacts.path(f"{job}.json")
 
     def has(self, job: str) -> bool:
         """True only when a *valid* artifact exists.
@@ -65,16 +62,12 @@ class ArtifactStore:
 
     def put(self, job: str, payload: Dict[str, Any]) -> Path:
         """Store one job's result payload (atomic, idempotent)."""
-        path = self.path(job)
-        write_json_atomic(path, {"job": job, "stored_ts": time.time(),
-                                 "payload": payload},
-                          schema=self.SCHEMA, fs=self.fs,
-                          fsync=self.fsync)
-        return path
+        return self.artifacts.put(f"{job}.json", {
+            "job": job, "stored_ts": time.time(), "payload": payload})
 
     def get(self, job: str) -> Optional[Dict[str, Any]]:
         """The stored payload, or ``None`` when absent/quarantined."""
-        doc = read_json(self.path(job), self.SCHEMA)
+        doc = self.artifacts.get(f"{job}.json")
         if doc is None:
             return None
         return doc.get("payload")
@@ -82,21 +75,19 @@ class ArtifactStore:
     # -- introspection -------------------------------------------------------
     def quarantined(self) -> int:
         """Corrupt artifacts/points moved aside (derived from disk)."""
-        return quarantine_count(self.artifact_dir) \
-            + quarantine_count(self.point_cache_dir)
+        return self.artifacts.quarantined() + self.points.quarantined()
 
     def stats(self) -> Dict[str, int]:
         artifacts = 0
         artifact_bytes = 0
-        for path in self.artifact_dir.glob("*.json"):
+        for name in self.artifacts.names():
             try:
-                artifact_bytes += path.stat().st_size
+                artifact_bytes += self.artifacts.path(name).stat().st_size
             except OSError:
                 continue
             artifacts += 1
-        points = sum(1 for _ in self.point_cache_dir.glob("*.json"))
         return {"artifacts": artifacts, "artifact_bytes": artifact_bytes,
-                "cached_points": points,
+                "cached_points": len(self.points.names()),
                 "quarantined": self.quarantined(),
                 "tmp_swept": self.tmp_swept}
 

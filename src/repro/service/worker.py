@@ -42,12 +42,16 @@ from typing import Callable, Dict, List, Optional
 from ..common.errors import DeadlockError, ModelError
 from ..harness.parallel import SweepInterrupted
 from .executor import execute_job
-from .jobs import JobRecord, JobStore, read_json, write_json_atomic
+from ..durability.spool import RecordDir
+from .jobs import JobRecord, JobStore
 from .queue import DiskQueue, Entry
 from .store import ArtifactStore
 
 #: Worker heartbeat states.
 IDLE, BUSY = "idle", "busy"
+
+#: Envelope schema tag of heartbeat records (``workers/<id>.json``).
+HEARTBEAT_SCHEMA = "heartbeat"
 
 
 def service_paths(data_dir: Path) -> Dict[str, Path]:
@@ -80,8 +84,7 @@ class Worker:
         self.store = ArtifactStore(paths["store"], fsync=fsync)
         self.scratch = paths["scratch"]
         self.scratch.mkdir(parents=True, exist_ok=True)
-        self.workers_dir = paths["workers"]
-        self.workers_dir.mkdir(parents=True, exist_ok=True)
+        self.beats = RecordDir(paths["workers"], HEARTBEAT_SCHEMA)
         self.poll_interval = poll_interval
         self.handlers = handlers
         self.stop = False
@@ -91,13 +94,13 @@ class Worker:
 
     # -- heartbeat -----------------------------------------------------------
     def heartbeat(self, state: str, job: Optional[str] = None) -> None:
-        write_json_atomic(self.workers_dir / f"{self.worker_id}.json", {
+        self.beats.put(f"{self.worker_id}.json", {
             "worker": self.worker_id, "pid": os.getpid(),
             "state": state, "job": job, "ts": time.time(),
             "started_ts": self.started_ts,
             "busy_seconds": self.busy_seconds,
             "jobs_done": self.jobs_done,
-        }, schema="heartbeat")
+        })
 
     # -- signals -------------------------------------------------------------
     def _handle_signal(self, signum, frame) -> None:
@@ -130,9 +133,7 @@ class Worker:
                  charge: bool) -> None:
         if not charge:
             record.attempts = max(0, record.attempts - 1)
-        record.status = "queued"
-        record.worker = None
-        record.pid = None
+        record.reset()
         self.jobs.save(record)
         self.queue.requeue(entry.name)
 
@@ -238,6 +239,8 @@ class WorkerFleet:
         self.size = size
         self.poll_interval = poll_interval
         self.fsync = fsync
+        self.beats = RecordDir(service_paths(self.data_dir)["workers"],
+                               HEARTBEAT_SCHEMA)
         self._ctx = multiprocessing.get_context("spawn")
         self._procs: Dict[str, multiprocessing.Process] = {}
         self._serial = 0
@@ -302,12 +305,5 @@ class WorkerFleet:
 
     # -- heartbeats ----------------------------------------------------------
     def heartbeats(self) -> List[dict]:
-        beats = []
-        workers_dir = service_paths(self.data_dir)["workers"]
-        if not workers_dir.exists():
-            return beats
-        for path in sorted(workers_dir.glob("*.json")):
-            beat = read_json(path)
-            if beat:
-                beats.append(beat)
-        return beats
+        beats = (self.beats.get(name) for name in self.beats.names())
+        return [beat for beat in beats if beat]

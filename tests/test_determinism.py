@@ -75,3 +75,18 @@ class TestCrossProcessDeterminism:
         with ProcessPoolExecutor(max_workers=1) as pool:
             there = pool.submit(_simulate_payload, SCALED).result()
         assert here == there
+
+
+class TestBenchMetaIsHostIndependent:
+    """``meta`` is compared exactly across hosts and commits, so no
+    field may depend on host speed (a states-per-second rate did)."""
+
+    def test_modelcheck_meta_repeats_exactly(self):
+        from repro.bench.macro import BENCHMARKS
+        for bench in BENCHMARKS:
+            if not bench.name.startswith("macro.modelcheck"):
+                continue
+            first, second = (bench.run(quick=True, warmup=0, trials=1)
+                             for _ in range(2))
+            assert first.meta == second.meta, bench.name
+            assert first.meta["unique_states"] > 0

@@ -340,3 +340,174 @@ class TestChaosCampaign:
         payload = json.dumps([r.to_dict() for r in results])
         assert "corrupt-pending-entry" in payload
         assert "1/1 drills green" in render_results(results)
+
+
+# ----------------------------------------------------------------------
+# The spool primitive every store is built from
+# ----------------------------------------------------------------------
+
+import sys
+import threading
+
+from repro.durability import RecordDir, Spool
+
+
+class TestSpoolPrimitive:
+    def test_racing_claimers_each_entry_has_one_winner(self, tmp_path):
+        root = tmp_path / "spool"
+        writer = Spool(root, "generic")
+        names = [f"e{i:03d}.json" for i in range(40)]
+        for name in names:
+            writer.submit(name, {"n": name})
+        claimers = [Spool(root, "generic") for _ in range(4)]
+        won = [[] for _ in claimers]
+        barrier = threading.Barrier(len(claimers))
+
+        def drain(index):
+            barrier.wait(timeout=10)
+            spool = claimers[index]
+            while True:
+                name = spool.claim(spool.pending.names())
+                if name is None:
+                    return
+                won[index].append(name)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drain, args=(i,))
+                       for i in range(len(claimers))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        claimed = [name for names_won in won for name in names_won]
+        assert sorted(claimed) == names        # each exactly once
+        assert writer.running.names() == names
+        assert writer.pending.names() == []
+
+    def test_two_claimers_one_entry(self, tmp_path):
+        first = Spool(tmp_path, "generic")
+        second = Spool(tmp_path, "generic")
+        first.submit("only.json", {})
+        assert first.claim(["only.json"]) == "only.json"
+        assert second.claim(["only.json"]) is None
+
+    def test_ack_and_requeue_are_idempotent(self, tmp_path):
+        spool = Spool(tmp_path, "generic")
+        spool.submit("a.json", {"a": 1})
+        spool.submit("b.json", {"b": 1})
+        assert spool.claim(spool.pending.names()) == "a.json"
+        assert spool.requeue("a.json") is True
+        assert spool.requeue("a.json") is False
+        assert spool.pending.names() == ["a.json", "b.json"]
+        assert spool.claim(["a.json"]) == "a.json"
+        spool.ack("a.json")
+        spool.ack("a.json")                    # already gone: no error
+        assert spool.requeue("a.json") is False
+        assert spool.running.names() == []
+        assert spool.running_age("a.json") is None
+
+    def test_put_once_is_first_writer_wins(self, tmp_path):
+        records = RecordDir(tmp_path, "generic")
+        assert records.put_once("r.json", {"w": 1}) is True
+        assert records.put_once("r.json", {"w": 2}) is False
+        assert records.get("r.json") == {"w": 1}
+        records.put("r.json", {"w": 3})       # plain put replaces
+        assert records.get("r.json") == {"w": 3}
+
+    def test_corrupt_get_reads_missing_and_counts(self, tmp_path):
+        records = RecordDir(tmp_path, "generic")
+        records.put("r.json", {"k": "v" * 20})
+        corrupt_file(records.path("r.json"), seed=9)
+        assert records.quarantined() == 0
+        assert records.get("r.json") is None
+        assert records.quarantined() == 1
+        assert records.names() == []
+        # A body the loader rejects is quarantined the same way.
+        records.put("s.json", {"not": "a result"})
+        assert records.get("s.json", lambda body: body["missing"]) is None
+        assert records.quarantined() == 2
+
+    def test_open_sweep_respects_the_age_gate(self, tmp_path):
+        stale = tmp_path / "a.json.tmp7"
+        stale.write_text("partial")
+        os.utime(stale, (time.time() - 3600, time.time() - 3600))
+        fresh = tmp_path / "b.json.tmp7"
+        fresh.write_text("partial")
+        records = RecordDir(tmp_path, "generic")
+        assert records.tmp_swept == 1
+        assert not stale.exists() and fresh.exists()
+        assert records.names() == []
+
+
+# ----------------------------------------------------------------------
+# fsck without --repair is read-only; --repair honours --tmp-age
+# ----------------------------------------------------------------------
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root`` with the bytes of each file."""
+    return {str(p.relative_to(root)):
+            (p.read_bytes() if p.is_file() else None)
+            for p in sorted(root.rglob("*"))}
+
+
+def _staged_service(root: Path):
+    from repro.service.service import Service, ServiceConfig
+    from repro.service.worker import Worker
+    service = Service(ServiceConfig(data_dir=str(root), workers=0))
+    kept, _ = service.submit("synthetic", {"payload": "kept"})
+    lost, _ = service.submit("synthetic", {"payload": "lost"})
+    rotten, _ = service.submit("synthetic", {"payload": "rotten"})
+    for entry in service.queue.pending():
+        if entry.job == lost.id:
+            (service.queue.pending_dir / entry.name).unlink()
+    Worker(root, "crashed").queue.claim()      # a dangling claim
+    corrupt_file(service.jobs.path(rotten.id), seed=1)
+    for sub in ("jobs", "queue/pending"):
+        stale = root / sub / "x.json.tmp999"
+        stale.write_text("partial")
+        os.utime(stale, (time.time() - 120, time.time() - 120))
+    return service
+
+
+class TestFsckReadOnly:
+    def test_scan_leaves_service_dir_and_spool_identical(self, tmp_path):
+        from repro.modelcheck import DiskFrontier
+        from repro.modelcheck.frontier import make_record
+        service_root = tmp_path / "svc"
+        _staged_service(service_root)
+        spool = tmp_path / "spool"
+        store = DiskFrontier(spool)
+        store.seed({"scenario": "sb"}, make_record(()))
+        store.push(make_record((1,)))
+        store.pop()                            # claimed, never acked
+        store.terminal("t0", "key")
+        corrupt_file(spool / "terminals" / "t-t0.json", seed=2)
+        stale = spool / "visited" / "k-x.json.tmp999"
+        stale.write_text("partial")
+        os.utime(stale, (time.time() - 120, time.time() - 120))
+
+        for root, kinds in ((service_root, {"corrupt", "lost-entry",
+                                            "dangling-running",
+                                            "orphan-entry"}),
+                            (spool, {"corrupt", "dangling-running"})):
+            before = _tree(root)
+            for tmp_age in (3600.0, 0.0):
+                report = fsck(root, repair=False, tmp_age=tmp_age)
+                assert _tree(root) == before
+            assert kinds | {"tmp-orphan"} <= set(report.counts()), \
+                report.render()
+
+    def test_repair_honours_tmp_age(self, tmp_path):
+        root = tmp_path / "svc"
+        _staged_service(root)
+        report = fsck(root, repair=True, tmp_age=3600.0)
+        assert report.counts().get("lost-entry") == 1
+        assert "tmp-orphan" not in report.counts()
+        assert (root / "jobs" / "x.json.tmp999").exists()
+        assert (root / "queue" / "pending" / "x.json.tmp999").exists()
+        assert fsck(root, repair=False, tmp_age=3600.0).clean
